@@ -1,9 +1,9 @@
 """Compiled cold-path benchmark: flat-array executor vs object path.
 
-Two measurements, both against the object decode path with the kernel
-layer left ON (``repro.compiled.use_executor(False)``) — i.e. the
-speedup attributable to the compiled executor alone, not to the rank
-kernels:
+Two measurements, both against the scalar object path
+(``repro.compiled.use_executor(False)``), which still reads the
+instance kernel's cached ranks and memo tables — i.e. the speedup
+attributable to the compiled executor alone, not to the rank caches:
 
 * **bit-identity** — every routed scheduler over the full 56-instance
   differential corpus (all four rank aggregations via the HEFT variants
@@ -48,7 +48,8 @@ OUT = ROOT / "BENCH_coldpath.json"
 #: Schedulers routed through the compiled executor; the HEFT variants
 #: cover all four rank aggregations.
 ROUTED = ["HEFT", "HEFT-median", "HEFT-best", "HEFT-worst",
-          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP"]
+          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP",
+          "LA-HEFT", "DUP-HEFT", "ETF"]
 
 #: Timed end-to-end points (scheduler, task count, timing repetitions).
 POINTS = [(alg, n, 5 if alg == "HEFT" else 3)

@@ -5,7 +5,7 @@ object path (genome -> assignment dict -> ``decode_assignment`` ->
 ``Schedule.makespan``, exactly what the GA inner loop did before the
 compiled core) against ``CompiledInstance.decode_batch`` — verifies the
 spans are bit-identical, times full GA/SA runs with the compiled core on
-vs forced off, and writes ``BENCH_meta.json`` at the repo root.
+vs switched off (``repro.compiled.use_executor(False)``), and writes ``BENCH_meta.json`` at the repo root.
 
 Run directly to regenerate the JSON:
 
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.bench import workloads as W
+from repro.compiled import use_executor
 from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,21 +35,6 @@ OUT = ROOT / "BENCH_meta.json"
 SIZES = [(40, 8), (80, 8), (120, 8)]
 POP = 24
 ROUNDS = 6
-
-
-@contextmanager
-def _compiled_core_disabled():
-    """Force the pre-compiled-core GA/SA fitness path (object decodes)
-    while leaving the rest of the kernel layer untouched."""
-    import repro.schedulers.meta.annealing as A
-    import repro.schedulers.meta.genetic as G
-
-    saved = (G.compiled_decoder, A.compiled_decoder)
-    G.compiled_decoder = A.compiled_decoder = lambda instance: None
-    try:
-        yield
-    finally:
-        G.compiled_decoder, A.compiled_decoder = saved
 
 
 def _bench_decode(num_tasks: int, num_procs: int) -> dict:
@@ -101,7 +86,7 @@ def _bench_end_to_end() -> dict:
         ("ga", lambda: GeneticScheduler(population=20, generations=20, seed=3)),
         ("sa", lambda: SimulatedAnnealingScheduler(iterations=600, seed=3)),
     ):
-        with _compiled_core_disabled():
+        with use_executor(False):
             t0 = time.perf_counter()
             legacy = make().schedule(inst)
             legacy_s = time.perf_counter() - t0

@@ -82,7 +82,7 @@ _TOL = 1e-9  # refinement acceptance / child-deadline tolerance
 _EXECUTOR_ENABLED = True
 _COUNTS = {
     "list_schedules": 0,
-    "dls_schedules": 0,
+    "dls_schedules": 0,  # schedule_dls runs: DLS and ETF
     "improved_passes": 0,
     "batch_calls": 0,
     "online_schedules": 0,
@@ -99,8 +99,11 @@ def executor_enabled() -> bool:
 def use_executor(enabled: bool) -> Iterator[None]:
     """Temporarily force the compiled schedule executor on or off.
 
-    Used by the differential tests and ``benchmarks/bench_coldpath.py``
-    to time the object path while the kernel layer stays on.
+    This is the library's one implementation switch: off, every
+    scheduler and the metaheuristic decoder run the scalar object path
+    (the oracle the compiled executor is differentially tested against,
+    and the baseline ``benchmarks/bench_coldpath.py`` and
+    ``benchmarks/bench_regression.py`` time).  Process-wide.
     """
     global _EXECUTOR_ENABLED
     previous = _EXECUTOR_ENABLED
@@ -447,8 +450,8 @@ class CompiledInstance:
                     start = scan_slots(tl_starts[pin], tl_ends[pin], ready, duration)
                 best_j, best_start, best_end = pin, start, start + duration
             else:
-                # Per-processor ready times: same fold as the batched
-                # kernel (running max over parents, exact min/max).
+                # Per-processor ready times: ready_time's fold for
+                # every j (running max over parents, exact min/max).
                 ready_vec = [0.0] * q
                 for u, const in preds[t]:
                     eu = end_of[u]
@@ -669,17 +672,27 @@ class CompiledInstance:
         return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
 
     def schedule_dls(
-        self, sl: Sequence[float], wstar: Sequence[float]
+        self,
+        sl: Sequence[float],
+        wstar: Sequence[float] | None = None,
+        *,
+        rule: str = "dls",
     ) -> CompiledSchedule:
-        """Compiled Dynamic Level Scheduling loop.
+        """Compiled dynamic list-scheduling loop (DLS and ETF).
 
-        Replays ``DLS.schedule``: per step the (ready task, processor)
-        pair minimising ``(-dl, pos, j)`` wins, where ``dl = sl - start +
-        (wstar - etc)``; placement appends at ``max(ready, end_time)``
-        and records ``start + duration`` (single rounding — DLS passes
-        the raw duration to ``Schedule.add``).  Per-task ready vectors
-        are cached once all parents are placed, like the object path.
+        Replays ``DLS.schedule`` (``rule="dls"``): per step the (ready
+        task, processor) pair minimising ``(-dl, pos, j)`` wins, where
+        ``dl = sl - start + (wstar - etc)``.  ``rule="etf"`` replays
+        ``ETF.schedule`` instead: the key is ``(start, -sl, pos, j)`` and
+        ``wstar`` is unused.  Either way placement appends at
+        ``max(ready, end_time)`` and records ``start + duration`` (single
+        rounding — both pass the raw duration to ``Schedule.add``).  A
+        task's ready vector is fixed once all its parents are placed
+        (nothing moves or duplicates), so it is computed once and cached.
         """
+        if rule not in ("dls", "etf"):
+            raise SchedulingError(f"unknown dynamic-list rule {rule!r}")
+        etf = rule == "etf"
         n = self.n
         q = self.q
         preds = self._preds
@@ -697,7 +710,7 @@ class CompiledInstance:
         makespan = 0.0
         qr = range(q)
         while ready_set:
-            best_key: tuple[float, int, int] | None = None
+            best_key: tuple | None = None
             best_task = -1
             best_j = -1
             best_start = 0.0
@@ -715,16 +728,22 @@ class CompiledInstance:
                                 vec[j] = a
                     ready_cache[t] = vec
                 slt = sl[t]
-                wst = wstar[t]
-                row = etc_rows[t]
                 pt = pos[t]
+                if etf:
+                    neg_sl = -slt
+                else:
+                    wst = wstar[t]
+                    row = etc_rows[t]
                 for j in qr:
                     dr = vec[j]
                     m = tl_max[j]
                     start = dr if dr > m else m
-                    delta = wst - row[j]
-                    dl = slt - start + delta
-                    key = (-dl, pt, j)
+                    if etf:
+                        key = (start, neg_sl, pt, j)
+                    else:
+                        delta = wst - row[j]
+                        dl = slt - start + delta
+                        key = (-dl, pt, j)
                     if best_key is None or key < best_key:
                         best_key = key
                         best_task = t
@@ -911,7 +930,7 @@ class CompiledInstance:
             st.tl_add(best_j, t, best_start, rend)
 
     def _ready_vec(self, st: "_FlatState", t: int) -> list[float]:
-        """Batched ready times (InstanceKernel.ready_times replay)."""
+        """Ready times on every processor (``ready_time`` replay per j)."""
         q = self.q
         ready = [0.0] * q
         pend = st.pend
@@ -1017,7 +1036,7 @@ class CompiledInstance:
     def _lookahead_base(self, st: "_FlatState", t: int, child: int) -> list[float]:
         """Per-processor arrival fold of ``child``'s *other* placed parents.
 
-        This part of ``InstanceKernel.lookahead_score`` does not depend
+        This part of ``PlacementEngine._child_finish`` does not depend
         on where ``t`` is probed, so the placement pass computes it once
         per task and shares it across all processor probes.  All values
         are >= 0, so folding from 0.0 and taking the max against the
@@ -1056,7 +1075,7 @@ class CompiledInstance:
         j_placed: int,
         placed_end: float,
     ) -> float:
-        """InstanceKernel.lookahead_score replay over flat state."""
+        """``PlacementEngine._child_finish`` replay over flat state."""
         q = self.q
         const_tc = self._succ_const[t][child]
         base_tc = placed_end + const_tc

@@ -9,33 +9,18 @@ data transfer, so duplication can only ever lower a task's EFT.
 
 from __future__ import annotations
 
-from repro.core.placement import PlacementEngine
-from repro.exceptions import SchedulingError
-from repro.instance import Instance
-from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ranking import RankAggregation, upward_ranks
+from repro.core.improved import SinglePassScheduler
+from repro.schedulers.ranking import RankAggregation
 
 
-class DuplicationScheduler(Scheduler):
+class DuplicationScheduler(SinglePassScheduler):
     """HEFT order + selective parent duplication (no lookahead)."""
 
     def __init__(self, agg: RankAggregation = "mean", max_duplications_per_task: int = 3) -> None:
-        self.agg = agg
-        self.name = "DUP-HEFT"
-        self._engine = PlacementEngine(
+        super().__init__(
+            "DUP-HEFT",
+            agg,
             lookahead=False,
             duplication=True,
             max_duplications_per_task=max_duplications_per_task,
         )
-
-    def schedule(self, instance: Instance) -> Schedule:
-        ranks = upward_ranks(instance, self.agg)
-        pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
-        order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        for task in order:
-            self._engine.place(schedule, instance, task, ranks)
-        if len(schedule) != instance.num_tasks:
-            raise SchedulingError(f"{self.name} scheduled {len(schedule)}/{instance.num_tasks}")
-        return schedule

@@ -15,12 +15,65 @@ from repro.core.placement import PlacementEngine
 from repro.core.refinement import refine_schedule
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import Scheduler, compiled_for
 from repro.schedulers.ranking import RankAggregation, upward_ranks
 from repro.types import TaskId
+
+
+class SinglePassScheduler(Scheduler):
+    """One placement-engine pass in HEFT order, nothing else.
+
+    The shared body of the ablation schedulers LA-HEFT and DUP-HEFT: a
+    single rank aggregation, no plain-EFT safety pass and no refinement,
+    so each isolates one improvement of :class:`ImprovedScheduler`.
+    Routed through the compiled executor's improved pass when
+    :func:`~repro.schedulers.base.compiled_for` allows it.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        agg: RankAggregation = "mean",
+        *,
+        lookahead: bool,
+        duplication: bool,
+        max_duplications_per_task: int = 3,
+    ) -> None:
+        self.name = name
+        self.agg = agg
+        self._engine = PlacementEngine(
+            lookahead=lookahead,
+            duplication=duplication,
+            max_duplications_per_task=max_duplications_per_task,
+        )
+
+    def schedule(self, instance: Instance) -> Schedule:
+        ranks = upward_ranks(instance, self.agg)
+        pos = instance.kernel.pos
+        order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
+        name = f"{self.name}:{instance.name}"
+        engine = self._engine
+        ci = compiled_for(instance)
+        if ci is not None:
+            result = ci.schedule_improved(
+                ci.order_indices(order),
+                [ranks[t] for t in ci.tasks],
+                lookahead=engine.lookahead,
+                duplication=engine.duplication,
+                insertion=engine.insertion,
+                refinement=False,
+                refinement_rounds=0,
+                max_duplications_per_task=engine.max_duplications_per_task,
+            )
+            return ci.materialize(result, instance.machine, name)
+        schedule = Schedule(instance.machine, name=name)
+        for task in order:
+            engine.place(schedule, instance, task, ranks)
+        if len(schedule) != instance.num_tasks:
+            raise SchedulingError(f"{self.name} scheduled {len(schedule)}/{instance.num_tasks}")
+        return schedule
 
 
 class ImprovedScheduler(Scheduler):
@@ -51,10 +104,7 @@ class ImprovedScheduler(Scheduler):
         tracer = get_tracer()
         with tracer.span("sched.rank", alg=self.name, agg=agg):
             ranks = upward_ranks(instance, agg)
-            if kernels_enabled():
-                pos = instance.kernel.pos
-            else:
-                pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
+            pos = instance.kernel.pos
             order: list[TaskId] = sorted(
                 instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t])
             )

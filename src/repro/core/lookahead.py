@@ -6,29 +6,12 @@ price it separately.
 
 from __future__ import annotations
 
-from repro.core.placement import PlacementEngine
-from repro.exceptions import SchedulingError
-from repro.instance import Instance
-from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ranking import RankAggregation, upward_ranks
+from repro.core.improved import SinglePassScheduler
+from repro.schedulers.ranking import RankAggregation
 
 
-class LookaheadScheduler(Scheduler):
+class LookaheadScheduler(SinglePassScheduler):
     """HEFT order + lookahead processor selection (no duplication)."""
 
     def __init__(self, agg: RankAggregation = "mean") -> None:
-        self.agg = agg
-        self.name = "LA-HEFT"
-        self._engine = PlacementEngine(lookahead=True, duplication=False)
-
-    def schedule(self, instance: Instance) -> Schedule:
-        ranks = upward_ranks(instance, self.agg)
-        pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
-        order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        for task in order:
-            self._engine.place(schedule, instance, task, ranks)
-        if len(schedule) != instance.num_tasks:
-            raise SchedulingError(f"{self.name} scheduled {len(schedule)}/{instance.num_tasks}")
-        return schedule
+        super().__init__("LA-HEFT", agg, lookahead=True, duplication=False)

@@ -352,7 +352,7 @@ def use_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
     """Temporarily install ``tracer`` as the module default.
 
     The previous tracer is restored even on exception — the same
-    discipline as :func:`repro.kernels.use_kernels`.
+    discipline as :func:`repro.compiled.use_executor`.
     """
     global _TRACER
     previous = _TRACER

@@ -17,9 +17,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.exceptions import SchedulingError, UnknownProcessorError
+from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
 from repro.types import ProcId, TaskId
@@ -58,31 +57,6 @@ def ready_time(
     :class:`SchedulingError` if some parent is not placed yet — priority
     policies must only submit ready tasks.
     """
-    if kernels_enabled():
-        kern = instance.kernel
-        consts = kern.out_const
-        if consts is not None:
-            preds = kern.pred[task]
-            # Legacy only touches the comm model (and hence validates
-            # ``proc``) when there is at least one parent.
-            if preds and proc not in kern.pi:
-                raise UnknownProcessorError(proc)
-            ready = 0.0
-            for parent in preds:
-                if parent not in schedule:
-                    raise SchedulingError(f"parent {parent!r} of {task!r} is unscheduled")
-                const = consts[parent][task]
-                arrival = float("inf")
-                # copy.end + 0.0 == copy.end (times are >= 0), so the
-                # same-processor branch matches the zero-comm case bit
-                # for bit.
-                for copy in schedule.copies(parent):
-                    cand = copy.end if copy.proc == proc else copy.end + const
-                    if cand < arrival:
-                        arrival = cand
-                if arrival > ready:
-                    ready = arrival
-            return ready
     ready = 0.0
     for parent in instance.predecessors_of(task):
         if parent not in schedule:
@@ -151,17 +125,6 @@ def schedule_task_on(
     return schedule.add(task, proc, start, end - start)
 
 
-def _batched_ready(schedule: Schedule, instance: Instance, task: TaskId):
-    """Kernel-backed ready times for all processors at once, or ``None``.
-
-    Only valid when the candidate processors are exactly
-    ``machine.proc_ids()`` (the kernel's canonical order).
-    """
-    if not kernels_enabled():
-        return None
-    return instance.kernel.ready_times(schedule, task)
-
-
 def eft_placement(
     schedule: Schedule,
     instance: Instance,
@@ -177,19 +140,7 @@ def eft_placement(
     candidates = procs if procs is not None else instance.machine.proc_ids()
     if not candidates:
         raise SchedulingError("no candidate processors")
-    ready_vec = _batched_ready(schedule, instance, task) if procs is None else None
     best: Placement | None = None
-    if ready_vec is not None:
-        for j, proc in enumerate(candidates):
-            duration = instance.exec_time(task, proc)
-            start = schedule.timeline(proc).find_slot(
-                float(ready_vec[j]), duration, insertion=insertion
-            )
-            end = start + duration
-            if best is None or end < best.end - 1e-12:
-                best = Placement(proc=proc, start=start, end=end)
-        assert best is not None
-        return best
     for proc in candidates:
         cand = placement_on(schedule, instance, task, proc, insertion=insertion)
         if best is None or cand.end < best.end - 1e-12:
@@ -209,18 +160,7 @@ def est_placement(
     candidates = procs if procs is not None else instance.machine.proc_ids()
     if not candidates:
         raise SchedulingError("no candidate processors")
-    ready_vec = _batched_ready(schedule, instance, task) if procs is None else None
     best: Placement | None = None
-    if ready_vec is not None:
-        for j, proc in enumerate(candidates):
-            duration = instance.exec_time(task, proc)
-            start = schedule.timeline(proc).find_slot(
-                float(ready_vec[j]), duration, insertion=insertion
-            )
-            if best is None or start < best.start - 1e-12:
-                best = Placement(proc=proc, start=start, end=start + duration)
-        assert best is not None
-        return best
     for proc in candidates:
         cand = placement_on(schedule, instance, task, proc, insertion=insertion)
         if best is None or cand.start < best.start - 1e-12:
@@ -258,16 +198,19 @@ def topological_by_priority(dag, key) -> list[TaskId]:
 def compiled_for(instance: Instance):
     """The instance's compiled executor when routing is allowed, else ``None``.
 
-    The compiled path engages only when the kernel layer and the
-    executor switch are on *and* tracing is off — traced runs keep the
-    object path so the golden span shapes (``sched.rank``/``place``/
-    ``insert``) stay intact.  A ``None`` from :func:`compile_instance`
-    (per-link communication model) is recorded as an object-path
-    fallback for the service counters.
+    ``None`` sends the caller down the scalar object path (the oracle).
+    That happens when :func:`repro.compiled.use_executor` has switched
+    the executor off (differential tests, benchmark baselines), and in
+    production in exactly two cases: tracing is on — traced runs keep
+    the object path so the golden span shapes (``sched.rank``/``place``/
+    ``insert``) stay intact — or the machine has a per-link
+    communication model, which :func:`compile_instance` cannot lower.
+    The latter is recorded as an object-path fallback for the service
+    counters.
     """
     from repro import compiled as compiled_mod
 
-    if not kernels_enabled() or not compiled_mod.executor_enabled():
+    if not compiled_mod.executor_enabled():
         return None
     if get_tracer().enabled:
         return None

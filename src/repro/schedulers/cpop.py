@@ -13,11 +13,8 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-import numpy as np
-
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import (
@@ -46,22 +43,12 @@ class CPOP(Scheduler):
         """Processor minimising the summed execution time of the CP."""
         best_proc: ProcId | None = None
         best_total = float("inf")
-        if kernels_enabled():
-            # One vectorized accumulation per CP task; the per-element
-            # addition order matches the scalar per-processor sums.
-            kern = instance.kernel
-            totals = np.zeros(len(kern.procs))
-            for t in cp:
-                totals += kern.etc_arr[kern.ti[t]]
-            for j, proc in enumerate(kern.procs):
-                if totals[j] < best_total - 1e-12:
-                    best_total = float(totals[j])
-                    best_proc = proc
-            if best_proc is None:
-                raise SchedulingError("machine has no processors")
-            return best_proc
         for proc in instance.machine.proc_ids():
-            total = sum(instance.exec_time(t, proc) for t in cp)
+            # Left-to-right additions from 0.0 (not ``sum``, which uses
+            # compensated summation for floats on Python >= 3.12).
+            total = 0.0
+            for t in cp:
+                total += instance.exec_time(t, proc)
             if total < best_total - 1e-12:
                 best_total = total
                 best_proc = proc

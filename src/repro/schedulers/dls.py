@@ -13,12 +13,59 @@ the processor's ready end (no insertion).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import Scheduler, compiled_for, ready_time
 from repro.schedulers.ranking import machine_static_levels
+from repro.types import ProcId, TaskId
+
+
+def dynamic_list_schedule(
+    instance: Instance,
+    name: str,
+    key: Callable[[TaskId, int, ProcId, float], tuple],
+) -> Schedule:
+    """Object-path dynamic list scheduling loop (DLS, ETF).
+
+    At every step each (ready task, processor) pair gets the append
+    start ``max(data_ready, processor end)`` and the pair with the
+    smallest ``key(task, proc_index, proc, start)`` is placed there.
+    Nothing moves or is duplicated afterwards.
+    """
+    dag = instance.dag
+    procs = instance.machine.proc_ids()
+    schedule = Schedule(instance.machine, name=f"{name}:{instance.name}")
+    indegree = {t: dag.in_degree(t) for t in dag.tasks()}
+    ready = {t for t in dag.tasks() if indegree[t] == 0}
+
+    scheduled = 0
+    while ready:
+        best = None
+        best_choice = None
+        for task in ready:
+            for j, proc in enumerate(procs):
+                data_ready = ready_time(schedule, instance, task, proc)
+                start = max(data_ready, schedule.timeline(proc).end_time)
+                k = key(task, j, proc, start)
+                if best is None or k < best:
+                    best = k
+                    best_choice = (task, proc, start)
+        assert best_choice is not None
+        task, proc, start = best_choice
+        schedule.add(task, proc, start, instance.exec_time(task, proc))
+        scheduled += 1
+        ready.discard(task)
+        for child in dag.successors(task):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                ready.add(child)
+
+    if scheduled != instance.num_tasks:
+        raise SchedulingError(f"{name} scheduled {scheduled}/{instance.num_tasks} tasks")
+    return schedule
 
 
 class DLS(Scheduler):
@@ -40,53 +87,11 @@ class DLS(Scheduler):
                 result, instance.machine, f"{self.name}:{instance.name}"
             )
 
-        pos = {t: i for i, t in enumerate(dag.topological_order())}
-        procs = instance.machine.proc_ids()
+        pos = instance.kernel.pos
 
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        indegree = {t: dag.in_degree(t) for t in dag.tasks()}
-        ready = {t for t in dag.tasks() if indegree[t] == 0}
+        def key(task: TaskId, j: int, proc: ProcId, start: float) -> tuple:
+            delta = wstar[task] - instance.exec_time(task, proc)
+            dl = sl[task] - start + delta
+            return (-dl, pos[task], j)
 
-        scheduled = 0
-        use_batched = kernels_enabled()
-        # A task enters `ready` only once all parents are placed, and DLS
-        # never moves or duplicates a placement afterwards — so its
-        # per-processor data-ready vector is fixed while it waits.
-        ready_cache: dict = {}
-        while ready:
-            best = None  # (neg_dl, pos, proc_index) ordering key
-            best_choice = None
-            for task in ready:
-                ready_vec = None
-                if use_batched:
-                    ready_vec = ready_cache.get(task)
-                    if ready_vec is None:
-                        ready_vec = instance.kernel.ready_times(schedule, task)
-                        if ready_vec is not None:
-                            ready_cache[task] = ready_vec
-                for j, proc in enumerate(procs):
-                    if ready_vec is not None:
-                        data_ready = float(ready_vec[j])
-                    else:
-                        data_ready = ready_time(schedule, instance, task, proc)
-                    start = max(data_ready, schedule.timeline(proc).end_time)
-                    delta = wstar[task] - instance.exec_time(task, proc)
-                    dl = sl[task] - start + delta
-                    key = (-dl, pos[task], j)
-                    if best is None or key < best:
-                        best = key
-                        best_choice = (task, proc, start)
-            assert best_choice is not None
-            task, proc, start = best_choice
-            schedule.add(task, proc, start, instance.exec_time(task, proc))
-            scheduled += 1
-            ready.discard(task)
-            ready_cache.pop(task, None)
-            for child in dag.successors(task):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.add(child)
-
-        if scheduled != instance.num_tasks:
-            raise SchedulingError(f"DLS scheduled {scheduled}/{instance.num_tasks} tasks")
-        return schedule
+        return dynamic_list_schedule(instance, self.name, key)

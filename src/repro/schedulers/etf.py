@@ -9,11 +9,12 @@ original formulation.
 
 from __future__ import annotations
 
-from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler, ready_time
+from repro.schedulers.base import Scheduler, compiled_for
+from repro.schedulers.dls import dynamic_list_schedule
 from repro.schedulers.ranking import machine_static_levels
+from repro.types import ProcId, TaskId
 
 
 class ETF(Scheduler):
@@ -22,37 +23,18 @@ class ETF(Scheduler):
     name = "ETF"
 
     def schedule(self, instance: Instance) -> Schedule:
-        dag = instance.dag
         sl = machine_static_levels(instance, agg="mean")
-        pos = {t: i for i, t in enumerate(dag.topological_order())}
-        procs = instance.machine.proc_ids()
 
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        indegree = {t: dag.in_degree(t) for t in dag.tasks()}
-        ready = {t for t in dag.tasks() if indegree[t] == 0}
+        ci = compiled_for(instance)
+        if ci is not None:
+            result = ci.schedule_dls([sl[t] for t in ci.tasks], rule="etf")
+            return ci.materialize(
+                result, instance.machine, f"{self.name}:{instance.name}"
+            )
 
-        scheduled = 0
-        while ready:
-            best_key = None  # (est, -static_level, pos, proc_index)
-            best_choice = None
-            for task in ready:
-                for j, proc in enumerate(procs):
-                    data_ready = ready_time(schedule, instance, task, proc)
-                    start = max(data_ready, schedule.timeline(proc).end_time)
-                    key = (start, -sl[task], pos[task], j)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_choice = (task, proc, start)
-            assert best_choice is not None
-            task, proc, start = best_choice
-            schedule.add(task, proc, start, instance.exec_time(task, proc))
-            scheduled += 1
-            ready.discard(task)
-            for child in dag.successors(task):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.add(child)
+        pos = instance.kernel.pos
 
-        if scheduled != instance.num_tasks:
-            raise SchedulingError(f"ETF scheduled {scheduled}/{instance.num_tasks} tasks")
-        return schedule
+        def key(task: TaskId, j: int, proc: ProcId, start: float) -> tuple:
+            return (start, -sl[task], pos[task], j)
+
+        return dynamic_list_schedule(instance, self.name, key)

@@ -8,7 +8,6 @@ on the processor giving the earliest (insertion-based) finish time.
 from __future__ import annotations
 
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedulers.base import ListScheduler
 from repro.schedulers.ranking import RankAggregation, upward_ranks
@@ -39,10 +38,7 @@ class HEFT(ListScheduler):
     def priority_order(self, instance: Instance) -> list[TaskId]:
         with get_tracer().span("heft.rank_u", agg=self.agg):
             ranks = upward_ranks(instance, self.agg)
-        if kernels_enabled():
-            pos = instance.kernel.pos
-        else:
-            pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
+        pos = instance.kernel.pos
         # Decreasing upward rank is a valid topological order because a
         # parent's rank strictly exceeds each child's (w > 0); the
         # topological position tie-break also keeps zero-cost chains legal.

@@ -12,46 +12,43 @@ Two decode paths produce bit-identical schedules:
   what callers use to materialise the final winner);
 * :func:`compiled_decoder` — the flat-array
   :class:`~repro.compiled.CompiledInstance` used for fitness
-  evaluation in the GA/SA inner loops (``None`` when the kernel layer
-  is off or the machine uses a per-link communication model).
+  evaluation in the GA/SA inner loops (``None`` when the executor is
+  switched off or the machine uses a per-link communication model).
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.compiled import compile_instance, executor_enabled
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import schedule_task_on
-from repro.schedulers.ranking import upward_ranks
 from repro.types import ProcId, TaskId
 
 
 def rank_order(instance: Instance) -> list[TaskId]:
     """The decoding order: decreasing upward rank (precedence-valid).
 
-    Served from the per-instance cache on ``Instance.kernel`` when the
-    kernel layer is on — thousands of decodes share one rank pass —
-    with the scalar recomputation kept as the reference path.
+    A copy of the per-instance cache on ``Instance.kernel`` — thousands
+    of decodes share one rank pass.
     """
-    if kernels_enabled():
-        return list(instance.kernel.rank_order("mean"))
-    ranks = upward_ranks(instance)
-    pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
-    return sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
+    return list(instance.kernel.rank_order("mean"))
 
 
 def compiled_decoder(instance: Instance):
     """The instance's :class:`~repro.compiled.CompiledInstance`, or ``None``.
 
-    ``None`` when the kernel layer is disabled (differential tests and
-    the benchmark baseline run the object path) or when the machine's
-    communication model has no per-pair constant.
+    ``None`` when :func:`repro.compiled.use_executor` has switched the
+    compiled executor off (differential tests and the benchmark baseline
+    run the object path) or when the machine's communication model has
+    no per-pair constant.  Tracing does not matter here: the fitness
+    loop emits no per-task spans, and the winner is always materialised
+    through :func:`decode_assignment`.
     """
-    if not kernels_enabled():
+    if not executor_enabled():
         return None
-    return instance.kernel.compiled()
+    return compile_instance(instance)
 
 
 def decode_assignment(

@@ -6,7 +6,7 @@ checks that :class:`repro.compiled.CompiledInstance` reproduces it
 *bit-identically* — makespans, starts and processors — for HEFT-derived,
 random and degenerate assignments, that ``decode_batch`` equals
 per-genome decodes, and that the GA/SA schedulers are unchanged with the
-compiled core on vs off.
+compiled core on vs off (``repro.compiled.use_executor``).
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiled import CompiledInstance, compile_instance
+from repro.compiled import CompiledInstance, compile_instance, use_executor
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import use_kernels
 from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
@@ -25,6 +24,7 @@ from repro.dag.generators import random_dag
 from repro.schedulers.heft import HEFT
 from repro.schedulers.meta import GeneticScheduler, SimulatedAnnealingScheduler
 from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
+from repro.schedulers.ranking import upward_ranks_scalar
 from tests.population import build_population
 
 
@@ -65,14 +65,16 @@ def test_decode_fast_bit_identical_on_corpus(population):
 
 
 def test_decode_fast_matches_legacy_scalar_path(population):
-    """The object path with kernels *off* is the original specification."""
+    """The object decoder fed the scalar rank sort (not the kernel's
+    cached order) is the original specification."""
     for label, inst in population[::5]:
         compiled = compile_instance(inst)
-        order = rank_order(inst)
+        ranks = upward_ranks_scalar(inst)
+        pos = {t: i for i, t in enumerate(inst.dag.topological_order())}
+        order = sorted(inst.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
         for genome in _assignments(inst, compiled, trials=3, seed=99):
             span, _, _ = compiled.decode_fast(genome)
-            with use_kernels(False):
-                legacy = decode_assignment(inst, compiled.assignment_of(genome), list(order))
+            legacy = decode_assignment(inst, compiled.assignment_of(genome), order)
             assert span == legacy.makespan, label
 
 
@@ -98,15 +100,14 @@ def test_mapping_and_genome_inputs_agree(population):
 
 def test_ga_and_sa_unchanged_with_compiled_core(population):
     """Full scheduler runs: identical placements with the compiled core
-    on (kernels enabled) vs the object path (kernels disabled)."""
+    on vs the object path (executor switched off)."""
     for label, inst in population[::13]:
         for make in (
             lambda s: GeneticScheduler(population=10, generations=5, seed=s),
             lambda s: SimulatedAnnealingScheduler(iterations=120, seed=s),
         ):
-            with use_kernels(True):
-                fast = make(11).schedule(inst)
-            with use_kernels(False):
+            fast = make(11).schedule(inst)
+            with use_executor(False):
                 legacy = make(11).schedule(inst)
             assert fast.makespan == legacy.makespan, label
             for task in legacy.tasks():
@@ -161,17 +162,18 @@ def test_per_link_models_fall_back_to_object_path():
     assert compile_instance(inst) is None
     assert compiled_decoder(inst) is None
     # The metaheuristics still work (object path) and stay on/off-identical.
-    with use_kernels(True):
-        fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
-    with use_kernels(False):
+    fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
+    with use_executor(False):
         legacy = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
     assert fast.makespan == legacy.makespan
 
 
 def test_compiled_disabled_when_kernels_off():
+    """The executor switch (the one implementation switch left) turns
+    the compiled decoder off."""
     from repro.bench import workloads as W
 
     inst = W.random_instance(np.random.default_rng(4), num_tasks=8, num_procs=2)
-    with use_kernels(False):
+    with use_executor(False):
         assert compiled_decoder(inst) is None
     assert compiled_decoder(inst) is not None

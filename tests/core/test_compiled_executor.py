@@ -7,8 +7,8 @@ path (``CompiledInstance.schedule_list`` / ``schedule_dls`` /
 suite asserts the compiled executor reproduces it *bit for bit* — full
 JSON payloads, not just makespans — across the seeded 56-instance
 population, and that the routing layer falls back to the object path
-exactly when it must (per-link communication models, tracing, kernels
-off).
+exactly when it must (per-link communication models, tracing, the
+executor switched off).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro import compiled
 from repro.compiled import compile_instance, use_executor
 from repro.dag.generators import random_dag
 from repro.instance import Instance
-from repro.kernels import use_kernels
 from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
@@ -33,7 +32,8 @@ from tests.population import build_population
 
 #: Every scheduler routed through the compiled executor.
 ROUTED = ["HEFT", "HEFT-median", "HEFT-best", "HEFT-worst",
-          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP"]
+          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP",
+          "LA-HEFT", "DUP-HEFT", "ETF"]
 
 
 @pytest.fixture(scope="module")
@@ -59,19 +59,16 @@ def test_full_corpus_payloads_bit_identical(population):
 
 
 def test_three_way_equivalence_on_slice(population):
-    """Compiled == object-with-kernels == fully scalar on a corpus
-    slice (the scalar leg is slow, hence the slice)."""
+    """Compiled == object path on a corpus slice, and the compiled
+    schedule passes validation."""
     for label, inst in population[::7]:
         for alg in ("HEFT", "CPOP", "DLS", "IMP"):
             scheduler = get_scheduler(alg)
             fast = scheduler.schedule(inst)
             with use_executor(False):
-                kernel_ref = scheduler.schedule(inst)
-            with use_kernels(False):
-                scalar_ref = scheduler.schedule(inst)
+                object_ref = scheduler.schedule(inst)
             validate(fast, inst)
-            assert _payload(fast, inst, alg) == _payload(kernel_ref, inst, alg), (label, alg)
-            assert _payload(fast, inst, alg) == _payload(scalar_ref, inst, alg), (label, alg)
+            assert _payload(fast, inst, alg) == _payload(object_ref, inst, alg), (label, alg)
 
 
 def test_duplication_schedules_materialize_duplicates(population):
@@ -106,7 +103,7 @@ def _per_link_instance(seed: int = 3) -> Instance:
 def test_per_link_comm_falls_back_to_object_path():
     """Per-link machines have no pair-independent edge constant: the
     lowering refuses, the routing layer records a fallback, and the
-    schedulers still produce kernels-on/off-identical schedules."""
+    schedulers still produce executor-on/off-identical schedules."""
     inst = _per_link_instance()
     assert compile_instance(inst) is None
     before = compiled.schedule_counters()["fallbacks"]
@@ -114,7 +111,7 @@ def test_per_link_comm_falls_back_to_object_path():
     assert compiled.schedule_counters()["fallbacks"] == before + 1
     for alg in ("HEFT", "CPOP", "DLS", "IMP"):
         fast = get_scheduler(alg).schedule(inst)
-        with use_kernels(False):
+        with use_executor(False):
             ref = get_scheduler(alg).schedule(inst)
         validate(fast, inst)
         assert _payload(fast, inst, alg) == _payload(ref, inst, alg), alg
@@ -130,6 +127,13 @@ def test_executor_counters_increment(population):
     assert counts["list_schedules"] >= 1
     assert counts["dls_schedules"] >= 1
     assert counts["improved_passes"] >= 1
+    # The switch really routes: with the executor off nothing is counted.
+    with use_executor(False):
+        assert compiled_for(inst) is None
+        for alg in ROUTED:
+            get_scheduler(alg).schedule(inst)
+    assert compiled.schedule_counters() == counts
+    assert compiled_for(inst) is not None
 
 
 def test_routing_disabled_under_tracer(population):
@@ -139,15 +143,6 @@ def test_routing_disabled_under_tracer(population):
     _, inst = population[0]
     with use_tracer(Tracer(name="t")):
         assert compiled_for(inst) is None
-
-
-def test_routing_disabled_with_kernels_off(population):
-    _, inst = population[0]
-    with use_kernels(False):
-        assert compiled_for(inst) is None
-    with use_executor(False):
-        assert compiled_for(inst) is None
-    assert compiled_for(inst) is not None
 
 
 def test_insertion_off_matches_object_path(population):

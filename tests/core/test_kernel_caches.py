@@ -65,15 +65,16 @@ def test_repeat_calls_return_cached_objects(instance):
 
 
 def test_rank_order_matches_decoder(instance):
-    from repro.kernels import use_kernels
     from repro.schedulers.meta.decoder import rank_order
+    from repro.schedulers.ranking import upward_ranks_scalar
 
-    with use_kernels(False):
-        legacy = rank_order(instance)
-    with use_kernels(True):
-        cached = rank_order(instance)
+    # The scalar rank sort is the reference the cached order must equal.
+    ranks = upward_ranks_scalar(instance)
+    pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
+    legacy = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
+    cached = rank_order(instance)
     assert cached == legacy
+    assert instance.kernel.rank_order("mean") == legacy
     # The decoder hands out a copy; mutating it must not poison the cache.
     cached.reverse()
-    with use_kernels(True):
-        assert rank_order(instance) == legacy
+    assert rank_order(instance) == legacy

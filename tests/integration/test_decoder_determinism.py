@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.kernels import use_kernels
 from repro.schedulers.meta import GeneticScheduler, SimulatedAnnealingScheduler
 from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
+from repro.schedulers.ranking import upward_ranks_scalar
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -80,13 +80,17 @@ def test_identical_tie_breaking_across_decode_paths():
     inst = W.homogeneous_random_instance(np.random.default_rng(11), num_tasks=20, num_procs=4)
     compiled = compiled_decoder(inst)
     order = rank_order(inst)
+    # Reference order from the scalar rank recurrence: rank ties abound
+    # on a homogeneous machine, so this also pins the tie-break.
+    ranks = upward_ranks_scalar(inst)
+    pos = {t: i for i, t in enumerate(inst.dag.topological_order())}
+    legacy_order = sorted(inst.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
     rng = np.random.default_rng(5)
     for _ in range(10):
         genome = rng.integers(0, inst.num_procs, size=inst.num_tasks)
         span, starts, procs = compiled.decode_fast(genome)
         schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
-        with use_kernels(False):
-            legacy = decode_assignment(inst, compiled.assignment_of(genome), list(order))
+        legacy = decode_assignment(inst, compiled.assignment_of(genome), legacy_order)
         assert span == schedule.makespan == legacy.makespan
         for i, task in enumerate(compiled.tasks):
             assert schedule.entry(task).start == legacy.entry(task).start == starts[i]

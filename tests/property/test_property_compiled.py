@@ -18,7 +18,6 @@ from repro.compiled import use_executor
 from repro.core import ImprovedConfig, ImprovedScheduler
 from repro.dag.generators import random_dag
 from repro.instance import make_instance
-from repro.kernels import use_kernels
 from repro.schedule.validation import violations
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
@@ -43,7 +42,8 @@ def _payload(schedule, instance, alg) -> str:
 
 
 @given(instance_params, st.sampled_from(["HEFT", "CPOP", "HCPT", "PETS",
-                                         "DLS", "HLFET", "MCP", "IMP"]))
+                                         "DLS", "HLFET", "MCP", "IMP",
+                                         "LA-HEFT", "DUP-HEFT", "ETF"]))
 @settings(max_examples=80, deadline=None)
 def test_compiled_equals_object_path(params, name):
     instance = build(params)
@@ -81,16 +81,12 @@ def test_improved_config_space_compiled_equals_object(params, la, dup, ins, ref_
 @settings(max_examples=30, deadline=None)
 def test_tds_unaffected_by_executor_switch(params):
     """TDS never routes through the compiled executor (duplication-tree
-    policy, not a list scheduler); the switch must be a no-op for it and
-    the kernels-off path must agree."""
+    policy, not a list scheduler); the switch must be a no-op for it."""
     instance = build(params)
     a = get_scheduler("TDS").schedule(instance)
     with use_executor(False):
         b = get_scheduler("TDS").schedule(instance)
-    with use_kernels(False):
-        c = get_scheduler("TDS").schedule(instance)
     assert _payload(a, instance, "TDS") == _payload(b, instance, "TDS")
-    assert _payload(a, instance, "TDS") == _payload(c, instance, "TDS")
 
 
 _RESTART_SNIPPET = """

@@ -4,7 +4,12 @@ import pytest
 
 from repro.dag.graph import TaskDAG
 from repro.dag.task import Task
-from repro.exceptions import ConfigurationError
+from repro.exceptions import (
+    ConfigurationError,
+    GraphError,
+    UnknownProcessorError,
+    UnknownTaskError,
+)
 from repro.instance import (
     Instance,
     homogeneous_instance,
@@ -52,6 +57,28 @@ class TestCostQueries:
     def test_counts(self, diamond_instance):
         assert diamond_instance.num_tasks == 4
         assert diamond_instance.num_procs == 3
+
+    @pytest.mark.parametrize(
+        "query, args, error",
+        [
+            ("exec_time", ("zz", 0), UnknownTaskError),
+            ("exec_time", ("a", 99), UnknownProcessorError),
+            ("comm_time", ("a", "d", 0, 1), GraphError),
+            ("comm_time", ("zz", "a", 0, 1), GraphError),
+            ("comm_time", ("a", "b", 0, 99), UnknownProcessorError),
+            ("avg_comm_time", ("a", "d"), GraphError),
+            ("avg_comm_time", ("zz", "a"), GraphError),
+            ("successors_of", ("zz",), UnknownTaskError),
+            ("predecessors_of", ("zz",), UnknownTaskError),
+            ("etc_row", ("zz",), UnknownTaskError),
+        ],
+    )
+    def test_unknown_ids_raise_typed_errors(self, diamond_instance, query, args, error):
+        # "a" -> "d" is not an edge of the diamond; "zz" and 99 are not
+        # a task and a processor of the instance.
+        with pytest.raises(error) as info:
+            getattr(diamond_instance, query)(*args)
+        assert type(info.value) is error
 
 
 class TestDerivedBounds:
