@@ -1,13 +1,10 @@
-"""Compiled flat-array scheduling core for the metaheuristic search loop.
+"""Compiled flat-array scheduling core: the production fast path.
 
-The GA/SA schedulers (:mod:`repro.schedulers.meta`) evaluate thousands of
-candidate assignments, and each evaluation builds a full schedule: walk
-the rank order, compute the data-ready time on the assigned processor,
-insertion-search the processor's timeline, place the task.  The object
-path does that through :class:`~repro.schedule.schedule.Schedule`,
-frozen-dataclass placements and dict-based cost lookups — correct, but
-allocation-heavy, and it caps search quality because the metaheuristics
-are budgeted in *evaluations per second*.
+Every scheduler whose machine has pair-independent communication costs
+runs here instead of on the object path, which builds schedules through
+:class:`~repro.schedule.schedule.Schedule`, frozen-dataclass placements
+and dict-based cost lookups — correct, readable, and the oracle this
+module is differentially tested against, but allocation-heavy.
 
 This module lowers an :class:`~repro.instance.Instance` once into flat
 arrays (:class:`CompiledInstance`, cached on ``Instance.kernel``):
@@ -19,18 +16,28 @@ arrays (:class:`CompiledInstance`, cached on ``Instance.kernel``):
   uniform/zero link models,
 * the dense ETC matrix in canonical (task, machine-proc) order.
 
-:meth:`CompiledInstance.decode_fast` then builds a whole schedule in
-preallocated scratch buffers — plain floats and per-processor
-start/end lists, no ``Schedule``/``Placement``/``Slot`` objects — and
-:meth:`CompiledInstance.decode_batch` evaluates an entire GA population
-per call.  The slot search is the *same* helper the object path's
+Over that lowering it runs four loops, each replaying the object path's
+float sequence exactly:
+
+* the static list pass — :meth:`CompiledInstance.schedule_list` for the
+  static list schedulers (HEFT, CPOP, HCPT, PETS, HLFET, MCP), and
+  :meth:`CompiledInstance.schedule_onto`, the same pass over timelines
+  seeded with busy intervals, for the online simulator;
+* :meth:`CompiledInstance.schedule_dls`, the dynamic loop of DLS and ETF;
+* :meth:`CompiledInstance.schedule_improved`, the improved scheduler's
+  placement engine and refinement (also LA-HEFT and DUP-HEFT);
+* :meth:`CompiledInstance.decode_fast` / :meth:`~CompiledInstance.decode_batch`,
+  the GA/SA fitness loop, which decodes whole populations in
+  preallocated scratch buffers.  It stays separate from the list pass:
+  each task's processor is given, and routing decodes through the list
+  pass's per-processor machinery made every decode measurably slower.
+
+The slot search is the *same* helper the object path's
 :meth:`~repro.schedule.timeline.Timeline.find_slot` delegates to
-(:func:`~repro.schedule.timeline.scan_slots`), and every arithmetic
-operation replays the object path's float sequence exactly, so decoded
-makespans are bit-identical to
-:func:`repro.schedulers.meta.decoder.decode_assignment` (asserted over
-the 56-instance differential corpus by
-``tests/core/test_compiled_decode.py``).
+(:func:`~repro.schedule.timeline.scan_slots`), so schedules and decoded
+makespans are bit-identical to the object path (asserted over the
+56-instance differential corpus by ``tests/core/test_compiled_executor.py``
+and ``tests/core/test_compiled_decode.py``).
 
 Machines with per-link communication models have no pair-independent
 edge constant; :func:`compile_instance` returns ``None`` there and
@@ -74,19 +81,19 @@ _TOL = 1e-9  # refinement acceptance / child-deadline tolerance
 # ---------------------------------------------------------------------------
 # executor switch + counters
 # ---------------------------------------------------------------------------
-# The compiled schedule executors are plain-int counted (not tracer
-# counted): the schedulers only route through the executor when tracing
-# is *off* — traced runs keep the object path so the golden span shapes
+# The executor entry points are plain-int counted (not tracer counted):
+# the schedulers only route through the executor when tracing is *off*
+# — traced runs keep the object path so the golden span shapes
 # (sched.run/rank/place/insert) stay intact — so tracer counters would
-# never fire.  The service surfaces these on ``/metrics``.
+# never fire.  Service workers ship per-call deltas of these counters
+# back to the engine, which reports them on ``/metrics``.
 _EXECUTOR_ENABLED = True
 _COUNTS = {
-    "list_schedules": 0,
+    "list_schedules": 0,  # schedule_list runs: the static list schedulers
     "dls_schedules": 0,  # schedule_dls runs: DLS and ETF
-    "improved_passes": 0,
-    "batch_calls": 0,
-    "online_schedules": 0,
-    "fallbacks": 0,
+    "improved_passes": 0,  # schedule_improved runs: IMP, LA-HEFT, DUP-HEFT
+    "online_schedules": 0,  # schedule_onto runs: online placements
+    "fallbacks": 0,  # object-path fallbacks recorded by note_fallback()
 }
 
 
@@ -403,16 +410,82 @@ class CompiledInstance:
         """
         if policy not in ("eft", "est"):
             raise SchedulingError(f"unknown placement policy {policy!r}")
+        result = self._list_pass(order, insertion, policy, pinned=pinned)
+        _COUNTS["list_schedules"] += 1
+        return result
+
+    def schedule_onto(
+        self,
+        order: Sequence[int],
+        busy_starts: Sequence[Sequence[float]],
+        busy_ends: Sequence[Sequence[float]],
+        *,
+        release: float = 0.0,
+        insertion: bool = True,
+        policy: str = "eft",
+        etc_scale: Sequence[float] | None = None,
+    ) -> CompiledSchedule:
+        """One list pass against *pre-occupied* processor timelines.
+
+        The online multi-tenant simulator (:mod:`repro.sim.online`)
+        schedules each arriving job onto a cluster whose processors
+        already carry residual load: ``busy_starts``/``busy_ends`` seed
+        each processor's timeline with the cluster's current busy
+        intervals (sorted by start, non-overlapping), and every task's
+        data-ready time is floored at ``release`` (the job's arrival
+        time), so no placement can begin in the past.  ``etc_scale``
+        optionally multiplies task ``t``'s durations by ``etc_scale[t]``
+        — the runtime-ETC-noise hook.  It is the same pass as
+        :meth:`schedule_list`, so empty seeds, ``release=0`` and no
+        scale give its result float for float.
+
+        The lowering itself (CSR, ETC rows, rank order) is untouched —
+        only the timeline seeds vary between arrivals, which is what
+        makes the cached-lowering path cheap: one lowering per template,
+        one dirty-suffix seed per arrival.
+        """
+        if policy not in ("eft", "est"):
+            raise SchedulingError(f"unknown placement policy {policy!r}")
+        q = self.q
+        if len(busy_starts) != q or len(busy_ends) != q:
+            raise SchedulingError(
+                f"busy lists cover {len(busy_starts)} processors, machine has {q}"
+            )
+        result = self._list_pass(
+            order, insertion, policy,
+            seeds=(busy_starts, busy_ends), release=release, etc_scale=etc_scale,
+        )
+        _COUNTS["online_schedules"] += 1
+        return result
+
+    def _list_pass(
+        self,
+        order: Sequence[int],
+        insertion: bool,
+        policy: str,
+        *,
+        seeds: tuple[Sequence[Sequence[float]], Sequence[Sequence[float]]] | None = None,
+        release: float = 0.0,
+        etc_scale: Sequence[float] | None = None,
+        pinned: Sequence[int] | None = None,
+    ) -> CompiledSchedule:
+        """The static list pass behind :meth:`schedule_list` and
+        :meth:`schedule_onto`: optional busy-interval ``seeds`` per
+        processor, a ``release`` floor on every ready time, per-task
+        duration scales and per-task processor pins."""
         q = self.q
         preds = self._preds
         etc_rows = self._etc_rows
+        if etc_scale is not None:
+            # Scaled once per call.  An IEEE float64 product is correctly
+            # rounded, so these are the same ``row[j] * scale`` floats the
+            # object path computes per probe.
+            etc_rows = (self.etc * np.asarray(etc_scale, dtype=float)[:, None]).tolist()
         n = self.n
         start_of = [0.0] * n
         end_of = [0.0] * n
         darg_of = [0.0] * n
         proc_of = [-1] * n
-        tl_starts: list[list[float]] = [[] for _ in range(q)]
-        tl_ends: list[list[float]] = [[] for _ in range(q)]
         tl_max = [0.0] * q
         # Gap-bound fast path: ``tl_gap[j]`` is an upper bound on the
         # widest idle gap of timeline ``j`` (between consecutive
@@ -424,6 +497,14 @@ class CompiledInstance:
         # scan without changing a single float.
         tl_gap = [0.0] * q
         tl_nz = [0.0] * q
+        if seeds is None:
+            tl_starts: list[list[float]] = [[] for _ in range(q)]
+            tl_ends: list[list[float]] = [[] for _ in range(q)]
+        else:
+            tl_starts = [list(s) for s in seeds[0]]
+            tl_ends = [list(e) for e in seeds[1]]
+            for j in range(q):
+                tl_max[j], tl_gap[j], tl_nz[j] = _gap_bounds(tl_starts[j], tl_ends[j])
         eft = policy == "eft"
         makespan = 0.0
         qr = range(q)
@@ -432,7 +513,7 @@ class CompiledInstance:
             pin = -1 if pinned is None else pinned[t]
             if pin >= 0:
                 # Single-processor placement (no tie comparison).
-                ready = 0.0
+                ready = release
                 for u, const in preds[t]:
                     cand = end_of[u]
                     if proc_of[u] != pin:
@@ -452,7 +533,7 @@ class CompiledInstance:
             else:
                 # Per-processor ready times: ready_time's fold for
                 # every j (running max over parents, exact min/max).
-                ready_vec = [0.0] * q
+                ready_vec = [release] * q
                 for u, const in preds[t]:
                     eu = end_of[u]
                     pu = proc_of[u]
@@ -518,157 +599,6 @@ class CompiledInstance:
                 tl_max[best_j] = rend
             if rend > makespan:
                 makespan = rend
-        _COUNTS["list_schedules"] += 1
-        return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
-
-    def schedule_batch(
-        self,
-        orders: Sequence[Sequence[int]],
-        *,
-        insertion: bool = True,
-        policy: str = "eft",
-    ) -> list[CompiledSchedule]:
-        """Run several priority orders over one lowering in one call.
-
-        The cold-path analogue of :meth:`decode_batch`: the service's
-        batching engine and the benchmarks amortise lowering + dispatch
-        over every order of a coalesced batch.
-        """
-        out = [
-            self.schedule_list(order, insertion=insertion, policy=policy)
-            for order in orders
-        ]
-        _COUNTS["batch_calls"] += 1
-        return out
-
-    def schedule_onto(
-        self,
-        order: Sequence[int],
-        busy_starts: Sequence[Sequence[float]],
-        busy_ends: Sequence[Sequence[float]],
-        *,
-        release: float = 0.0,
-        insertion: bool = True,
-        policy: str = "eft",
-        etc_scale: Sequence[float] | None = None,
-    ) -> CompiledSchedule:
-        """One list pass against *pre-occupied* processor timelines.
-
-        The online multi-tenant simulator (:mod:`repro.sim.online`)
-        schedules each arriving job onto a cluster whose processors
-        already carry residual load: ``busy_starts``/``busy_ends`` seed
-        each processor's timeline with the cluster's current busy
-        intervals (sorted by start, non-overlapping), and every task's
-        data-ready time is floored at ``release`` (the job's arrival
-        time), so no placement can begin in the past.  ``etc_scale``
-        optionally multiplies task ``t``'s durations by ``etc_scale[t]``
-        — the runtime-ETC-noise hook.  With empty seeds, ``release=0``
-        and no scale this replays :meth:`schedule_list` float for float.
-
-        The lowering itself (CSR, ETC rows, rank order) is untouched —
-        only the timeline seeds vary between arrivals, which is what
-        makes the cached-lowering path cheap: one lowering per template,
-        one dirty-suffix seed per arrival.
-        """
-        if policy not in ("eft", "est"):
-            raise SchedulingError(f"unknown placement policy {policy!r}")
-        q = self.q
-        if len(busy_starts) != q or len(busy_ends) != q:
-            raise SchedulingError(
-                f"busy lists cover {len(busy_starts)} processors, machine has {q}"
-            )
-        preds = self._preds
-        etc_rows = self._etc_rows
-        n = self.n
-        start_of = [0.0] * n
-        end_of = [0.0] * n
-        darg_of = [0.0] * n
-        proc_of = [-1] * n
-        tl_starts: list[list[float]] = [list(s) for s in busy_starts]
-        tl_ends: list[list[float]] = [list(e) for e in busy_ends]
-        tl_max = [0.0] * q
-        tl_gap = [0.0] * q
-        tl_nz = [0.0] * q
-        # Rebuild the gap-bound invariants from the seeds, exactly like
-        # _FlatState.tl_remove's one-sweep recompute.
-        for j in range(q):
-            gap = 0.0
-            prev = 0.0
-            m = 0.0
-            for s_, e_ in zip(tl_starts[j], tl_ends[j]):
-                if e_ > m:
-                    m = e_
-                if e_ - s_ > _TL_EPS:
-                    g = s_ - prev
-                    if g > gap:
-                        gap = g
-                    prev = e_
-            tl_max[j] = m
-            tl_gap[j] = gap
-            tl_nz[j] = prev
-        eft = policy == "eft"
-        makespan = 0.0
-        qr = range(q)
-        for t in order:
-            row = etc_rows[t]
-            scale = 1.0 if etc_scale is None else etc_scale[t]
-            ready_vec = [release] * q
-            for u, const in preds[t]:
-                eu = end_of[u]
-                pu = proc_of[u]
-                ec = eu + const
-                for j in qr:
-                    a = eu if j == pu else ec
-                    if a > ready_vec[j]:
-                        ready_vec[j] = a
-            best_j = -1
-            best_start = 0.0
-            best_end = 0.0
-            for j in qr:
-                duration = row[j] if etc_scale is None else row[j] * scale
-                ready = ready_vec[j]
-                if best_j >= 0:
-                    if eft:
-                        if ready + duration >= best_end - _EPS:
-                            continue
-                    elif ready >= best_start - _EPS:
-                        continue
-                if not insertion:
-                    m = tl_max[j]
-                    start = ready if ready > m else m
-                elif duration - _TL_EPS > tl_gap[j]:
-                    e = tl_nz[j]
-                    start = ready if ready > e else e
-                else:
-                    start = scan_slots(tl_starts[j], tl_ends[j], ready, duration)
-                end = start + duration
-                if best_j < 0 or (
-                    end < best_end - _EPS if eft else start < best_start - _EPS
-                ):
-                    best_j = j
-                    best_start = start
-                    best_end = end
-            darg = best_end - best_start
-            rend = best_start + darg
-            start_of[t] = best_start
-            end_of[t] = rend
-            darg_of[t] = darg
-            proc_of[t] = best_j
-            starts = tl_starts[best_j]
-            i = bisect_left(starts, best_start)
-            starts.insert(i, best_start)
-            tl_ends[best_j].insert(i, rend)
-            if rend - best_start > _TL_EPS:
-                nz = tl_nz[best_j]
-                if best_start > nz and best_start - nz > tl_gap[best_j]:
-                    tl_gap[best_j] = best_start - nz
-                if rend > nz:
-                    tl_nz[best_j] = rend
-            if rend > tl_max[best_j]:
-                tl_max[best_j] = rend
-            if rend > makespan:
-                makespan = rend
-        _COUNTS["online_schedules"] += 1
         return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
 
     def schedule_dls(
@@ -814,9 +744,11 @@ class CompiledInstance:
 
         Replays ``PlacementEngine.place`` per task — critical-child
         lookahead, tentative duplicate planning with rollback, the
-        strict ``(score, end, j)`` tuple key — and the refinement sweep
-        (latest start first, child-deadline checks, ``1e-9`` acceptance)
-        over flat state, reproducing the object pass float for float.
+        processor choice (strict ``(score, end, j)`` tuple order with
+        lookahead, ``eft_placement``'s ``1e-12`` end ties without) — and
+        the refinement sweep (latest start first, child-deadline checks,
+        ``1e-9`` acceptance) over flat state, reproducing the object pass
+        float for float.
         """
         st = _FlatState(self.n, self.q)
         self._improved_place_pass(
@@ -907,7 +839,11 @@ class CompiledInstance:
                 else:
                     score = p_end
                 key = (score, p_end, j)
-                if best_key is None or key < best_key:
+                # PlacementEngine.place's rule: strict tuple order with
+                # lookahead, eft_placement's 1e-12 end ties without.
+                if best_key is None or (
+                    key < best_key if lookahead else p_end < best_end - _EPS
+                ):
                     best_key = key
                     best_j = j
                     best_start = p_start
@@ -1186,6 +1122,28 @@ class CompiledInstance:
         )
 
 
+def _gap_bounds(starts: Sequence[float], ends: Sequence[float]) -> tuple[float, float, float]:
+    """``(end_time, gap bound, last nonzero end)`` of one timeline.
+
+    One sweep over start-sorted slots: the latest end, the widest idle
+    gap between consecutive nonzero-width slots (including the gap from
+    0 to the first), and the end of the last nonzero-width slot — the
+    invariants the list pass and :class:`_FlatState` keep per processor.
+    """
+    gap = 0.0
+    prev = 0.0
+    m = 0.0
+    for s, e in zip(starts, ends):
+        if e > m:
+            m = e
+        if e - s > _TL_EPS:
+            g = s - prev
+            if g > gap:
+                gap = g
+            prev = e
+    return m, gap, prev
+
+
 class _FlatState:
     """Mutable flat mirror of Schedule + per-processor Timelines.
 
@@ -1217,7 +1175,7 @@ class _FlatState:
         self.tl_tasks: list[list[int]] = [[] for _ in range(q)]
         self.tl_max = [0.0] * q
         #: upper bound on the widest idle gap per processor (see
-        #: ``schedule_list``'s gap-bound fast path); kept exact again on
+        #: ``_list_pass``'s gap-bound fast path); kept exact again on
         #: every removal's recompute.
         self.tl_gap = [0.0] * q
         #: end of the last nonzero-width slot per processor — the exact
@@ -1257,21 +1215,8 @@ class _FlatState:
                 del tasks[i]
                 break
         # Removal merges gaps; rebuild end_time, the gap bound, and the
-        # last nonzero end exactly in one sweep.
-        gap = 0.0
-        prev = 0.0
-        m = 0.0
-        for s_, e_ in zip(starts, ends):
-            if e_ > m:
-                m = e_
-            if e_ - s_ > _TL_EPS:
-                g = s_ - prev
-                if g > gap:
-                    gap = g
-                prev = e_
-        self.tl_max[j] = m
-        self.tl_gap[j] = gap
-        self.tl_nz[j] = prev
+        # last nonzero end exactly.
+        self.tl_max[j], self.tl_gap[j], self.tl_nz[j] = _gap_bounds(starts, ends)
 
     def find_slot(self, j: int, ready: float, duration: float, insertion: bool) -> float:
         if not insertion:

@@ -208,7 +208,13 @@ class PlacementEngine:
             else:
                 score = placed.end
             key = (score, placed.end, j)
-            if best_key is None or key < best_key:
+            # Without lookahead the score is the end itself; compare it
+            # with eft_placement's 1e-12 rule so the plain-EFT pass is
+            # HEFT's schedule even when ends differ by an ulp.
+            if best_key is None or (
+                key < best_key if self.lookahead
+                else placed.end < best_key[1] - _EPS
+            ):
                 best_key = key
                 best_proc = proc
                 best_plans = plans

@@ -8,11 +8,12 @@ Request lifecycle::
         │                                          ├───────> share the
         └──> bounded queue (full -> 429) ──> dispatcher      same future)
                                                 │
-                             batch of <= batch_size jobs
+                             batch of <= batch_size jobs,
+                             one chunk per pool worker
                                                 │
                                   ProcessPoolExecutor worker
-                              (compute_schedule_payload: parse,
-                               schedule, validate, serialise)
+                           (compute_schedule_payload_batch: per job
+                            parse, schedule, validate, serialise)
                                                 │
                                cache.put + resolve the future
 
@@ -30,11 +31,19 @@ Design notes:
   waiting (HTTP 504), but the computation — potentially shared with
   other waiters, and cacheable — runs to completion behind
   :func:`asyncio.shield`.
-* **Workers are processes.**  The cold path pickles ``(instance JSON,
-  alg)`` to a :class:`~concurrent.futures.ProcessPoolExecutor`, the
-  same module-level-function discipline as the PR-1 sweep runner, so
-  the GIL never serialises scheduling work.  ``workers=0`` degrades to
-  a thread, which tests use to monkeypatch the compute function.
+* **Workers are processes.**  The cold path pickles a chunk of
+  ``(instance body, alg)`` items to a
+  :class:`~concurrent.futures.ProcessPoolExecutor` through a
+  module-level function of picklable arguments, the same discipline as
+  the sweep runner, so the GIL never serialises scheduling work.
+  ``workers=0`` degrades to a thread, which tests use to monkeypatch
+  the compute function.
+* **One cold-job runner, traced or not.**  :meth:`SchedulingEngine._run_group`
+  serves every chunk.  With tracing on it also passes each job's trace
+  id; the worker runs each job under a local tracer and ships the
+  exports back, and the engine absorbs each one under that job's
+  ``service.compute`` span.  Worker counters (lowering memo, compiled
+  executor) reach ``/metrics`` in both modes.
 * **Lowering is memoised per worker.**  Inside each worker,
   :func:`~repro.service.protocol.compute_schedule_payload` resolves the
   request body through a fingerprint-keyed LRU of parsed instances, so
@@ -48,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from contextlib import ExitStack
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -490,23 +500,15 @@ class SchedulingEngine:
                     except asyncio.QueueEmpty:
                         break
                 self.metrics.batch(len(batch))
-                if self.tracer.enabled:
-                    # Traced requests dispatch one job per worker call so
-                    # each gets its own service.compute span and absorbed
-                    # worker trace.
-                    groups = [[item] for item in batch]
-                    runner = self._run_job_group_traced
-                else:
-                    # Cold path: the drained batch is split into one
-                    # contiguous chunk per pool worker and each chunk
-                    # ships as a single batched worker call — one IPC
-                    # round trip amortised over the chunk, consecutive
-                    # same-content jobs sharing the worker's lowered
-                    # instance memo.
-                    n_groups = min(len(batch), max(1, self.config.workers))
-                    size = -(-len(batch) // n_groups)
-                    groups = [batch[i:i + size] for i in range(0, len(batch), size)]
-                    runner = self._run_group
+                # The drained batch is split into one contiguous chunk per
+                # pool worker and each chunk ships as a single batched
+                # worker call — one IPC round trip amortised over the
+                # chunk, consecutive same-content jobs sharing the
+                # worker's lowered instance memo.  Traced and untraced
+                # batches take the same path.
+                n_groups = min(len(batch), max(1, self.config.workers))
+                size = -(-len(batch) // n_groups)
+                groups = [batch[i:i + size] for i in range(0, len(batch), size)]
                 for group in groups:
                     if not await self._acquire_slot(stop_wait):
                         return  # hard stop mid-batch; stop() owns the futures
@@ -516,7 +518,7 @@ class SchedulingEngine:
                     # would leak the slot if the task were cancelled
                     # before its first await (the coroutine never enters
                     # ``try``).
-                    task = asyncio.create_task(runner(group))
+                    task = asyncio.create_task(self._run_group(group))
                     self._running.add(task)
                     task.add_done_callback(self._job_task_done)
         finally:
@@ -545,96 +547,38 @@ class SchedulingEngine:
         self._running.discard(task)
         self._slots.release()
 
-    async def _run_job(self, job: _Job) -> None:
-        """Execute one job, healing the worker pool on worker death.
-
-        ``BrokenProcessPool`` (a worker was OOM-killed, segfaulted, or
-        chaos-killed) fails *every* future in flight on that pool; the
-        computation itself is pure and content-addressed, so each
-        affected job is transparently re-executed on a respawned pool
-        instead of surfacing :class:`WorkerError` to its waiters.  The
-        respawn budget (``max_respawns`` per ``respawn_window``) bounds
-        how long a crash-looping workload can grind before the engine
-        declares itself unrecoverable.
-        """
-        loop = asyncio.get_running_loop()
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record_span("queue.wait", job.enqueued, time.perf_counter(),
-                               parent=job.sid, alg=job.alg, trace_id=job.trace_id)
-        attempt = 0
-        while True:
-            generation = self._pool_generation
-            try:
-                if tracer.enabled:
-                    # The traced compute function builds a local tracer in
-                    # the worker (process or thread) and ships its export
-                    # back with the payload; absorbing it under the
-                    # service.compute span yields one merged request tree.
-                    with tracer.span("service.compute", parent=job.sid,
-                                     alg=job.alg, trace_id=job.trace_id,
-                                     attempt=attempt) as cs:
-                        payload, worker_trace = await loop.run_in_executor(
-                            self._pool, protocol.compute_schedule_payload_traced,
-                            job.text, job.alg, job.trace_id,
-                        )
-                    tracer.absorb(worker_trace, parent=cs.sid)
-                    tracer.count("service.computes")
-                else:
-                    payload = await loop.run_in_executor(
-                        self._pool, protocol.compute_schedule_payload, job.text, job.alg
-                    )
-                break
-            except asyncio.CancelledError:
-                self._inflight.pop(job.key, None)
-                if not job.future.done():
-                    job.future.set_exception(ServiceClosedError("computation cancelled"))
-                raise
-            except BrokenExecutor as exc:
-                if not await self._heal_pool(generation, exc):
-                    self.metrics.error()
-                    self._inflight.pop(job.key, None)
-                    if not job.future.done():
-                        job.future.set_exception(ServiceClosedError(
-                            "worker pool broken and respawn budget exhausted "
-                            f"({self.config.max_respawns} per "
-                            f"{self.config.respawn_window:g}s); engine closed"
-                        ))
-                    return
-                attempt += 1
-                self.metrics.retry()
-                if tracer.enabled:
-                    tracer.count("service.reexecutions")
-                continue
-            except Exception as exc:
-                self.metrics.error()
-                self._inflight.pop(job.key, None)
-                if not job.future.done():
-                    job.future.set_exception(WorkerError(f"{type(exc).__name__}: {exc}"))
-                return
-        self.cache.put(job.key, payload)
-        self._persist(job.key, payload)
-        self._inflight.pop(job.key, None)
-        if not job.future.done():
-            job.future.set_result(payload)
-
-    async def _run_job_group_traced(self, group: list[_Job]) -> None:
-        """Traced dispatch adapter: the group is always a single job."""
-        await self._run_job(group[0])
-
     async def _run_group(self, jobs: list[_Job]) -> None:
         """Execute one chunk of cold jobs as a single batched worker call.
 
         The worker resolves each item independently (per-item faults
         become per-item ``WorkerError``), but pool breakage propagates
-        whole — the computation is pure and content-addressed, so the
-        entire chunk transparently re-executes on the healed pool, the
-        same semantics :meth:`_run_job` gives a single job.  The worker
-        also returns its lowering-memo and compiled-executor counter
-        deltas for the call, which are folded into the service metrics.
+        whole.  ``BrokenProcessPool`` (a worker was OOM-killed,
+        segfaulted, or chaos-killed) fails every future in flight on
+        that pool; the computation is pure and content-addressed, so
+        the entire chunk transparently re-executes on a respawned pool
+        instead of surfacing :class:`WorkerError` to its waiters.  The
+        respawn budget (``max_respawns`` per ``respawn_window``) bounds
+        how long a crash-looping workload can grind before the engine
+        declares itself unrecoverable.
+
+        The worker also returns its lowering-memo and compiled-executor
+        counter deltas for the call, which are folded into the service
+        metrics.  When this engine traces, every job gets a
+        ``queue.wait`` span and, per attempt, a ``service.compute`` span
+        over the shared call; the worker runs each item under its own
+        tracer and the job's export is absorbed beneath its compute
+        span, giving one merged tree per request.
         """
         loop = asyncio.get_running_loop()
+        tracer = self.tracer
+        traced = tracer.enabled
         items = [(job.text, job.alg) for job in jobs]
+        trace_ids = [job.trace_id for job in jobs] if traced else None
+        if traced:
+            now = time.perf_counter()
+            for job in jobs:
+                tracer.record_span("queue.wait", job.enqueued, now, parent=job.sid,
+                                   alg=job.alg, trace_id=job.trace_id)
 
         def _fail_all(make_exc) -> None:
             for job in jobs:
@@ -643,12 +587,22 @@ class SchedulingEngine:
                 if not job.future.done():
                     job.future.set_exception(make_exc())
 
+        attempt = 0
         while True:
             generation = self._pool_generation
             try:
-                results, worker_stats = await loop.run_in_executor(
-                    self._pool, protocol.compute_schedule_payload_batch, items
-                )
+                with ExitStack() as spans:
+                    computes = [
+                        spans.enter_context(tracer.span(
+                            "service.compute", parent=job.sid, alg=job.alg,
+                            trace_id=job.trace_id, attempt=attempt,
+                        ))
+                        for job in jobs
+                    ] if traced else []
+                    results, worker_stats, traces = await loop.run_in_executor(
+                        self._pool, protocol.compute_schedule_payload_batch,
+                        items, trace_ids,
+                    )
                 break
             except asyncio.CancelledError:
                 for job in jobs:
@@ -666,7 +620,10 @@ class SchedulingEngine:
                         f"{self.config.respawn_window:g}s); engine closed"
                     ))
                     return
+                attempt += 1
                 self.metrics.retry()
+                if traced:
+                    tracer.count("service.reexecutions")
                 continue
             except Exception as exc:
                 # The batch call itself failed before producing per-item
@@ -674,6 +631,9 @@ class SchedulingEngine:
                 _fail_all(lambda: WorkerError(f"{type(exc).__name__}: {exc}"))
                 return
         self.metrics.worker_stats(worker_stats)
+        for compute, trace in zip(computes, traces or ()):
+            tracer.absorb(trace, parent=compute.sid)
+            tracer.count("service.computes")
         for job, (status, value) in zip(jobs, results):
             self._inflight.pop(job.key, None)
             if status == "ok":

@@ -189,7 +189,7 @@ def compute_schedule_payload(instance_text: str | bytes, alg: str) -> dict:
 
     Each stage runs under a span of the current tracer (the no-op
     default unless the caller installed one — see
-    :func:`compute_schedule_payload_traced`), and the lowering memo's
+    :func:`compute_schedule_payload_batch`), and the lowering memo's
     hit/miss deltas land in ``worker.lowering_hits``/``_misses``.
     """
     from repro.obs import get_tracer
@@ -218,7 +218,8 @@ def compute_schedule_payload(instance_text: str | bytes, alg: str) -> dict:
 
 def compute_schedule_payload_batch(
     items: list[tuple[str | bytes, str]],
-) -> tuple[list[tuple[str, object]], dict[str, int]]:
+    trace_ids: list[str | None] | None = None,
+) -> tuple[list[tuple[str, object]], dict[str, int], list[dict] | None]:
     """Batched cold path: several ``(instance_text, alg)`` jobs, one call.
 
     The engine's dispatcher coalesces the requests it drains in one
@@ -234,23 +235,43 @@ def compute_schedule_payload_batch(
     the lowered-instance memo hits/misses and the compiled executor's
     schedule/fallback counts — the engine folds them into its service
     stats so cold-path behaviour shows up on ``/metrics``.
+
+    ``trace_ids`` (one per item) turns tracing on: each item then runs
+    under a fresh local :class:`~repro.obs.Tracer`, inside one
+    ``worker.compute`` root span carrying its trace id, and the third
+    element lists each item's trace export (``None`` untraced).  The
+    engine absorbs every export under that job's ``service.compute``
+    span and caches only the payload, so cached responses stay
+    request-pure.
     """
     from concurrent.futures import BrokenExecutor
 
     from repro import compiled as compiled_mod
+    from repro.obs import Tracer, use_tracer
 
     hits0, misses0 = _LOWERED.hits, _LOWERED.misses
     counts0 = compiled_mod.schedule_counters()
     results: list[tuple[str, object]] = []
-    for instance_text, alg in items:
+    traces: list[dict] | None = None if trace_ids is None else []
+    for k, (instance_text, alg) in enumerate(items):
+        local = None if trace_ids is None else Tracer(name="service-worker")
         try:
             # Through the module global so test monkeypatches apply on
             # the in-thread (workers=0) path.
-            results.append(("ok", compute_schedule_payload(instance_text, alg)))
+            if local is None:
+                payload = compute_schedule_payload(instance_text, alg)
+            else:
+                with use_tracer(local), local.span(
+                    "worker.compute", alg=alg, trace_id=trace_ids[k]
+                ):
+                    payload = compute_schedule_payload(instance_text, alg)
+            results.append(("ok", payload))
         except BrokenExecutor:
             raise
         except Exception as exc:  # noqa: BLE001 - per-item fault isolation
             results.append(("error", f"{type(exc).__name__}: {exc}"))
+        if traces is not None:
+            traces.append(local.export())
     counts1 = compiled_mod.schedule_counters()
     stats = {
         "lowering_hits": _LOWERED.hits - hits0,
@@ -262,28 +283,7 @@ def compute_schedule_payload_batch(
         ),
         "compiled_fallbacks": counts1["fallbacks"] - counts0["fallbacks"],
     }
-    return results, stats
-
-
-def compute_schedule_payload_traced(
-    instance_text: str | bytes, alg: str, trace_id: str | None = None
-) -> tuple[dict, dict]:
-    """Traced cold path: compute the payload *and* export the worker trace.
-
-    Runs :func:`compute_schedule_payload` (through the module global, so
-    test monkeypatches still apply on the in-thread path) under a fresh
-    local :class:`~repro.obs.Tracer`, wrapped in one ``worker.compute``
-    root span carrying the request's ``trace_id``.  Returns ``(payload,
-    trace_export)``; the engine absorbs the export into its own tracer
-    and caches only the payload — cached responses stay request-pure.
-    """
-    from repro.obs import Tracer, use_tracer
-
-    local = Tracer(name="service-worker")
-    with use_tracer(local):
-        with local.span("worker.compute", alg=alg, trace_id=trace_id):
-            payload = compute_schedule_payload(instance_text, alg)
-    return payload, local.export()
+    return results, stats, traces
 
 
 def payload_to_schedule(payload: dict, machine) -> Schedule:

@@ -40,6 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.compiled import executor_enabled
 from repro.exceptions import ConfigurationError
 from repro.instance import Instance
 from repro.obs import get_tracer
@@ -249,7 +250,6 @@ class OnlineScheduler:
         relower: str = "cached",
         noise_cv: float = 0.0,
         seed: SeedLike = 0,
-        use_compiled: bool = True,
     ) -> None:
         if not templates:
             raise ConfigurationError("no templates")
@@ -270,7 +270,6 @@ class OnlineScheduler:
         self.relower = relower
         self.noise_cv = float(noise_cv)
         self.seed = seed
-        self.use_compiled = use_compiled
         # Sorted-name insertion: template iteration order never matters.
         self.templates: dict[str, Instance] = {
             name: templates[name] for name in sorted(templates)
@@ -324,18 +323,8 @@ class OnlineScheduler:
         return _TemplateState(name, fresh, self.alg)
 
     def _empty_makespan(self, state: _TemplateState) -> float:
-        if state.ci is not None and self.use_compiled:
-            return state.ci.schedule_onto(
-                state.order_idx,
-                [[] for _ in range(state.ci.q)],
-                [[] for _ in range(state.ci.q)],
-                insertion=self.alg.insertion,
-                policy=self.alg.compiled_policy,
-            ).makespan
-        _intervals, _start, finish = self._place_object(
-            state, [[] for _ in range(self.cluster.num_procs)],
-            [[] for _ in range(self.cluster.num_procs)], 0.0, None,
-        )
+        q = self.cluster.num_procs
+        _intervals, _start, finish = self._schedule(state, [[]] * q, [[]] * q, 0.0, None)
         return finish
 
     # ------------------------------------------------------------------
@@ -364,6 +353,42 @@ class OnlineScheduler:
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
+    def _schedule(
+        self,
+        state: _TemplateState,
+        busy_starts: Sequence[Sequence[float]],
+        busy_ends: Sequence[Sequence[float]],
+        release: float,
+        factors: list[float] | None,
+    ) -> tuple[list[tuple[int, float, float]], float, float]:
+        """Place one job's tasks onto the seeded timelines.
+
+        Returns ``(intervals, start, finish)``: one ``(proc, start, end)``
+        interval per task, the job's first start and its last end.  Runs
+        ``CompiledInstance.schedule_onto`` when the template lowered and
+        :func:`repro.compiled.use_executor` leaves the executor on, else
+        the object-path mirror :meth:`_place_object`.
+        """
+        if state.ci is None or not executor_enabled():
+            return self._place_object(state, busy_starts, busy_ends, release, factors)
+        result = state.ci.schedule_onto(
+            state.order_idx,
+            busy_starts,
+            busy_ends,
+            release=release,
+            insertion=self.alg.insertion,
+            policy=self.alg.compiled_policy,
+            etc_scale=factors,
+        )
+        intervals = []
+        first = math.inf
+        for t in range(state.ci.n):
+            s = result.start[t]
+            intervals.append((result.proc[t], s, s + result.darg[t]))
+            if s < first:
+                first = s
+        return intervals, (0.0 if math.isinf(first) else first), result.makespan
+
     def _place_object(
         self,
         state: _TemplateState,
@@ -453,30 +478,9 @@ class OnlineScheduler:
         state = self._state_for(job.template)
         factors = self._noise_for(job, state)
         starts_seed, ends_seed = self.cluster.seeded_timelines()
-        if state.ci is not None and self.use_compiled:
-            result = state.ci.schedule_onto(
-                state.order_idx,
-                starts_seed,
-                ends_seed,
-                release=release,
-                insertion=self.alg.insertion,
-                policy=self.alg.compiled_policy,
-                etc_scale=factors,
-            )
-            intervals = []
-            first = math.inf
-            for t in range(state.ci.n):
-                s = result.start[t]
-                e = s + result.darg[t]
-                intervals.append((result.proc[t], s, e))
-                if s < first:
-                    first = s
-            start = 0.0 if math.isinf(first) else first
-            finish = result.makespan
-        else:
-            intervals, start, finish = self._place_object(
-                state, starts_seed, ends_seed, release, factors
-            )
+        intervals, start, finish = self._schedule(
+            state, starts_seed, ends_seed, release, factors
+        )
         self.cluster.occupy(job.job_id, intervals)
         job.start = start
         job.finish = finish
@@ -598,10 +602,8 @@ class OnlineScheduler:
             replans=self.replans,
             compacted=self.compacted,
             peak_live_intervals=self.peak_live,
-            compiled=all(
-                s.ci is not None for s in (self._cached_state(n) for n in self.templates)
-            )
-            and self.use_compiled,
+            compiled=executor_enabled()
+            and all(self._cached_state(n).ci is not None for n in self.templates),
         )
 
 
@@ -614,7 +616,6 @@ def simulate_online(
     relower: str = "cached",
     noise_cv: float = 0.0,
     seed: SeedLike = 0,
-    use_compiled: bool = True,
 ) -> OnlineResult:
     """Simulate a stream of job arrivals on one shared cluster.
 
@@ -641,8 +642,10 @@ def simulate_online(
         replayed identically on re-placement).
     seed:
         Noise seed root (unused when ``noise_cv == 0``).
-    use_compiled:
-        Force the object-path mirror when ``False`` (differential tests).
+
+    Placement runs on the compiled executor unless
+    :func:`repro.compiled.use_executor` switches it off (or a template's
+    machine has per-link communication); both paths place identically.
     """
     sim = OnlineScheduler(
         templates,
@@ -651,7 +654,6 @@ def simulate_online(
         relower=relower,
         noise_cv=noise_cv,
         seed=seed,
-        use_compiled=use_compiled,
     )
     if isinstance(arrivals, ArrivalProcess):
         stream = arrivals.realize(sorted(templates))

@@ -157,3 +157,29 @@ def test_insertion_off_matches_object_path(population):
         with use_executor(False):
             ref = ImprovedScheduler(cfg).schedule(inst)
         assert _payload(fast, inst, "IMP") == _payload(ref, inst, "IMP"), label
+
+
+@pytest.mark.parametrize("insertion", [True, False])
+def test_schedule_onto_empty_seeds_equals_schedule_list(population, insertion):
+    """A list pass onto empty timelines is the static list pass: same
+    start, duration argument, processor and makespan, float for float."""
+    checked = 0
+    for label, inst in population:
+        ci = compile_instance(inst)
+        if ci is None:
+            continue
+        q = ci.q
+        for alg in ("HEFT", "HCPT", "PETS", "MCP", "HLFET"):
+            scheduler = get_scheduler(alg)
+            order = ci.order_indices(scheduler.priority_order(inst))
+            policy = scheduler.compiled_policy
+            ref = ci.schedule_list(order, insertion=insertion, policy=policy)
+            got = ci.schedule_onto(
+                order, [[]] * q, [[]] * q, insertion=insertion, policy=policy
+            )
+            assert got.start == ref.start, (label, alg)
+            assert got.darg == ref.darg, (label, alg)
+            assert got.proc == ref.proc, (label, alg)
+            assert got.makespan == ref.makespan, (label, alg)
+            checked += 1
+    assert checked >= 5 * 50

@@ -42,6 +42,23 @@ class TestNeverWorseThanHeft:
         validate(imp, topcuoglu_instance)
         assert imp.makespan <= 80.0 + 1e-9
 
+    @pytest.mark.parametrize("executor", [True, False])
+    def test_ulp_level_end_ties_break_like_heft(self, executor):
+        """Regression: with ETC rows that differ only at the ulp level,
+        the plain-EFT pass broke ends that differ by an ulp toward the
+        smaller one, where HEFT keeps the earlier processor, so IMP lost
+        to HEFT (150.58 vs 149.68)."""
+        from repro.compiled import use_executor
+
+        dag = random_dag(24, ccr=0.0, seed=4)
+        inst = make_instance(dag, num_procs=2, heterogeneity=2.220446049250313e-16, seed=4)
+        with use_executor(executor):
+            plain = ImprovedScheduler(ImprovedConfig.baseline_heft()).schedule(inst)
+            imp = ImprovedScheduler().schedule(inst)
+            heft = HEFT().schedule(inst)
+        assert plain.assignment() == heft.assignment()
+        assert imp.makespan <= heft.makespan + 1e-9
+
     def test_strictly_better_somewhere(self):
         # Over a modest suite the improvements must actually fire.
         better = 0

@@ -8,8 +8,8 @@ hit records a ``cache.hit`` span instead of a compute span.
 
 Engines run with ``workers=0`` (thread execution) so worker spans are
 produced in-process; the process-pool path exercises the identical
-absorb machinery through ``compute_schedule_payload_traced``'s
-picklable export.
+absorb machinery through the picklable trace exports that
+``compute_schedule_payload_batch`` returns.
 """
 
 from __future__ import annotations
@@ -202,3 +202,59 @@ def test_request_doc_rejects_non_string_trace_id():
     doc["trace_id"] = 123
     with pytest.raises(RequestError, match="trace_id"):
         parse_request_doc(doc)
+
+
+def test_traced_engine_folds_worker_counters_like_untraced():
+    """Regression: the traced dispatch path used to drop the worker's
+    lowering-memo counters, so ``/metrics`` read zero on a traced engine."""
+    from repro.service.protocol import clear_lowering_cache
+
+    async def lowering_lookups(tracer) -> int:
+        clear_lowering_cache()
+        engine = SchedulingEngine(EngineConfig(workers=0), tracer=tracer)
+        await engine.start()
+        try:
+            for seed in (1, 2, 3):
+                await engine.submit(_instance(seed), "HEFT")
+            await engine.submit(_instance(1), "CPOP")
+            stats = engine.stats()
+            return stats.lowering_hits + stats.lowering_misses
+        finally:
+            await engine.stop()
+
+    untraced = _run(lowering_lookups(None))
+    traced = _run(lowering_lookups(Tracer()))
+    assert untraced == 4
+    assert traced == untraced
+
+
+def test_traced_batch_gives_each_job_its_own_compute_span():
+    """Concurrent cold requests drained into one batch share one worker
+    call, yet each request gets exactly one ``service.compute`` span
+    with its own absorbed ``worker.compute`` child."""
+
+    async def scenario():
+        tracer = Tracer()
+        engine = SchedulingEngine(EngineConfig(workers=0, batch_size=4), tracer=tracer)
+        await engine.start()
+        try:
+            ids = [f"batch-{k}" for k in range(4)]
+            results = await asyncio.gather(*[
+                engine.submit(_instance(10 + k), "HEFT", trace_id=tid)
+                for k, tid in enumerate(ids)
+            ])
+            assert [r["trace_id"] for r in results] == ids
+            stats = engine.stats()
+            assert (stats.batches, stats.batched_jobs) == (1, 4)
+            spans = tracer.spans()
+            for tid in ids:
+                (compute,) = [s for s in spans if s["name"] == "service.compute"
+                              and s["attrs"].get("trace_id") == tid]
+                (worker,) = [s for s in spans if s["name"] == "worker.compute"
+                             and s["parent"] == compute["id"]]
+                assert worker["attrs"]["trace_id"] == tid
+            assert validate_trace(tracer) == []
+        finally:
+            await engine.stop()
+
+    _run(scenario())

@@ -363,8 +363,8 @@ def test_graceful_drain_with_queued_backlog(monkeypatch):
 
 
 def test_slot_released_when_job_task_cancelled_before_start():
-    """Regression: the dispatch slot used to be released in
-    ``_run_job``'s ``finally``; a task cancelled before its first await
+    """Regression: the dispatch slot used to be released in the job
+    runner's ``finally``; a task cancelled before its first await
     never enters the coroutine body, so the slot leaked and the engine
     permanently lost one unit of dispatch concurrency.  The dispatcher
     now owns acquire *and* release (done-callback), which fires for
@@ -377,9 +377,9 @@ def test_slot_released_when_job_task_cancelled_before_start():
             job = engine_mod._Job(
                 "key", "{}", "HEFT", asyncio.get_running_loop().create_future()
             )
-            # Exactly what the dispatcher does per batch item:
+            # Exactly what the dispatcher does per chunk:
             await engine._slots.acquire()
-            task = asyncio.create_task(engine._run_job(job))
+            task = asyncio.create_task(engine._run_group([job]))
             engine._running.add(task)
             task.add_done_callback(engine._job_task_done)
             # Cancelled before the event loop ever runs the coroutine.

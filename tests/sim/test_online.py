@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.compiled import use_executor
 from repro.dag.generators import random_dag
 from repro.exceptions import ConfigurationError
 from repro.instance import Instance
@@ -40,20 +41,23 @@ class TestEquivalence:
 
     def test_compiled_equals_object_path(self, templates, stream):
         fast = simulate_online(templates, stream)
-        slow = simulate_online(templates, stream, use_compiled=False)
+        with use_executor(False):
+            slow = simulate_online(templates, stream)
         assert fast.compiled and not slow.compiled
         assert fast.payload_json() == slow.payload_json()
 
     def test_compiled_equals_object_under_policy_and_noise(self, templates, stream):
         kw = dict(policy="replace", noise_cv=0.3, seed=5)
         fast = simulate_online(templates, stream, **kw)
-        slow = simulate_online(templates, stream, use_compiled=False, **kw)
+        with use_executor(False):
+            slow = simulate_online(templates, stream, **kw)
         assert fast.payload_json() == slow.payload_json()
 
     @pytest.mark.parametrize("alg", ["HEFT", "HCPT", "HLFET", "MCP"])
     def test_alg_parity_both_paths(self, templates, stream, alg):
         fast = simulate_online(templates, stream, alg=alg)
-        slow = simulate_online(templates, stream, alg=alg, use_compiled=False)
+        with use_executor(False):
+            slow = simulate_online(templates, stream, alg=alg)
         assert fast.payload_json() == slow.payload_json()
 
 
